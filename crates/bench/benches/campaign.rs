@@ -5,13 +5,10 @@
 //! convergence detection (early exit) on versus off.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fiq_asm::MachOptions;
+use fiq_backend::LowerOptions;
 use fiq_core::{
-    profile_llfi, profile_llfi_with_snapshots, profile_pinfi, profile_pinfi_with_snapshots,
-    run_campaign, CampaignConfig, Category, CellSpec, EngineOptions, SnapshotCache, Substrate,
+    prepare_program, run_campaign, CampaignConfig, Category, EngineOptions, PreparedProgram,
 };
-use fiq_interp::InterpOptions;
-use std::sync::Arc;
 
 const KERNEL: &str = "
 int data[64];
@@ -27,35 +24,18 @@ int main() {
 
 const INJECTIONS: u32 = 40;
 
-fn bench_campaign(c: &mut Criterion) {
-    let mut module = fiq_frontend::compile("kernel", KERNEL).unwrap();
+/// Compiles, optimizes and prepares a kernel; kernels shorter than
+/// `fiq_core::CHECKPOINT_MIN_STEPS` get no checkpoints.
+fn prepare(name: &str, source: &str) -> PreparedProgram {
+    let mut module = fiq_frontend::compile(name, source).unwrap();
     fiq_opt::optimize_module(&mut module);
-    let program = fiq_backend::lower_module(&module, fiq_backend::LowerOptions::default()).unwrap();
-    let lp = profile_llfi(&module, InterpOptions::default()).unwrap();
-    let pp = profile_pinfi(&program, MachOptions::default()).unwrap();
+    prepare_program(module, LowerOptions::default(), false).unwrap()
+}
 
+fn bench_campaign(c: &mut Criterion) {
+    let p = prepare("kernel", KERNEL);
     let cats = [Category::Arithmetic, Category::Cmp, Category::Load];
-    let mut cells = Vec::new();
-    for &cat in &cats {
-        cells.push(CellSpec {
-            label: "kernel".into(),
-            category: cat,
-            substrate: Substrate::Llfi {
-                module: &module,
-                profile: &lp,
-            },
-            snapshots: None,
-        });
-        cells.push(CellSpec {
-            label: "kernel".into(),
-            category: cat,
-            substrate: Substrate::Pinfi {
-                prog: &program,
-                profile: &pp,
-            },
-            snapshots: None,
-        });
-    }
+    let cells: Vec<_> = cats.iter().flat_map(|&c| p.cells("kernel", c)).collect();
     let total = INJECTIONS as u64 * cells.len() as u64;
 
     let mut g = c.benchmark_group("campaign-engine");
@@ -125,66 +105,7 @@ int main() {
 }";
 
 fn bench_fast_forward(c: &mut Criterion) {
-    let mut module = fiq_frontend::compile("tail-kernel", TAIL_KERNEL).unwrap();
-    fiq_opt::optimize_module(&mut module);
-    let program = fiq_backend::lower_module(&module, fiq_backend::LowerOptions::default()).unwrap();
-    let interval = 2_000;
-    let (lp, ls) =
-        profile_llfi_with_snapshots(&module, InterpOptions::default(), interval).unwrap();
-    let (pp, ps) =
-        profile_pinfi_with_snapshots(&program, MachOptions::default(), interval).unwrap();
-    let llfi_snaps = Arc::new(SnapshotCache::Llfi(ls));
-    let pinfi_snaps = Arc::new(SnapshotCache::Pinfi(ps));
-
-    let cells = |fast: bool| {
-        vec![
-            CellSpec {
-                label: "tail-kernel".into(),
-                category: Category::Load,
-                substrate: Substrate::Llfi {
-                    module: &module,
-                    profile: &lp,
-                },
-                snapshots: fast.then(|| Arc::clone(&llfi_snaps)),
-            },
-            CellSpec {
-                label: "tail-kernel".into(),
-                category: Category::Load,
-                substrate: Substrate::Pinfi {
-                    prog: &program,
-                    profile: &pp,
-                },
-                snapshots: fast.then(|| Arc::clone(&pinfi_snaps)),
-            },
-        ]
-    };
-    let cfg = CampaignConfig {
-        injections: 20,
-        seed: 7,
-        threads: 1,
-        ..CampaignConfig::default()
-    };
-
-    let mut g = c.benchmark_group("fast-forward");
-    g.throughput(Throughput::Elements(cfg.injections as u64 * 2));
-    for fast in [false, true] {
-        let name = if fast {
-            "largest-prefix/fast-forward"
-        } else {
-            "largest-prefix/full-replay"
-        };
-        let cells = cells(fast);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let opts = EngineOptions {
-                    fast_forward: fast,
-                    ..EngineOptions::default()
-                };
-                run_campaign(&cells, &cfg, &opts).unwrap()
-            })
-        });
-    }
-    g.finish();
+    bench_optimization_grid(c, "fast-forward", "tail-kernel", TAIL_KERNEL);
 }
 
 /// The workload where convergence detection helps most: every
@@ -222,39 +143,11 @@ int main() {
 }";
 
 /// Benchmarks one kernel's `load`-category campaign under all four
-/// combinations of fast-forward × early-exit.
+/// combinations of fast-forward × early-exit, over the same
+/// checkpointed cells (both off replays every task in full).
 fn bench_optimization_grid(c: &mut Criterion, group: &str, name: &str, source: &str) {
-    let mut module = fiq_frontend::compile(name, source).unwrap();
-    fiq_opt::optimize_module(&mut module);
-    let program = fiq_backend::lower_module(&module, fiq_backend::LowerOptions::default()).unwrap();
-    let interval = 2_000;
-    let (lp, ls) =
-        profile_llfi_with_snapshots(&module, InterpOptions::default(), interval).unwrap();
-    let (pp, ps) =
-        profile_pinfi_with_snapshots(&program, MachOptions::default(), interval).unwrap();
-    let llfi_snaps = Arc::new(SnapshotCache::Llfi(ls));
-    let pinfi_snaps = Arc::new(SnapshotCache::Pinfi(ps));
-
-    let cells = vec![
-        CellSpec {
-            label: name.into(),
-            category: Category::Load,
-            substrate: Substrate::Llfi {
-                module: &module,
-                profile: &lp,
-            },
-            snapshots: Some(Arc::clone(&llfi_snaps)),
-        },
-        CellSpec {
-            label: name.into(),
-            category: Category::Load,
-            substrate: Substrate::Pinfi {
-                prog: &program,
-                profile: &pp,
-            },
-            snapshots: Some(Arc::clone(&pinfi_snaps)),
-        },
-    ];
+    let p = prepare(name, source);
+    let cells = p.cells(name, Category::Load);
     let cfg = CampaignConfig {
         injections: 20,
         seed: 7,

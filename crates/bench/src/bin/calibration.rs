@@ -34,12 +34,12 @@ fn main() {
     let mut base_gap_sum = 0.0;
     let mut cal_gap_sum = 0.0;
     let mut cells = 0;
-    for p in &prepared {
-        let info = lowering_info(&p.compiled.module, cfg.lower);
+    for (w, p) in &prepared {
+        let info = lowering_info(&p.module, cfg.lower);
         for cat in [Category::Arithmetic, Category::Cast, Category::Load] {
-            let base = llfi_campaign(&p.compiled.module, &p.llfi, cat, &camp).unwrap();
+            let base = llfi_campaign(&p.module, &p.llfi, cat, &camp).unwrap();
             let cal = llfi_campaign_calibrated(
-                &p.compiled.module,
+                &p.module,
                 &p.llfi,
                 cat,
                 &info,
@@ -47,7 +47,7 @@ fn main() {
                 &camp,
             )
             .unwrap();
-            let pin = pinfi_campaign(&p.compiled.program, &p.pinfi, cat, &camp).unwrap();
+            let pin = pinfi_campaign(&p.program, &p.pinfi, cat, &camp).unwrap();
             if pin.counts.activated() == 0 || base.counts.activated() == 0 {
                 continue;
             }
@@ -63,7 +63,7 @@ fn main() {
             cells += 1;
             println!(
                 "{:<12} {:<11} | {:>9.1}% {:>11.1}% {:>9.1}% | {:>8.1}  {:>8.1}",
-                p.workload.name,
+                w.name,
                 cat.name(),
                 b,
                 c,

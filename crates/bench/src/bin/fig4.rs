@@ -27,14 +27,11 @@ fn main() {
             "    {:<12} {:>18} {:>18}   overlap?",
             "benchmark", "LLFI sdc% [95% CI]", "PINFI sdc% [95% CI]"
         );
-        for p in &prepared {
-            let l = &cell(&grid, p.workload.name, "llfi", cat).report.counts;
-            let r = &cell(&grid, p.workload.name, "pinfi", cat).report.counts;
+        for (w, _) in &prepared {
+            let l = &cell(&grid, w.name, "llfi", cat).report.counts;
+            let r = &cell(&grid, w.name, "pinfi", cat).report.counts;
             if l.activated() == 0 && r.activated() == 0 {
-                println!(
-                    "    {:<12} (no candidates in this category)",
-                    p.workload.name
-                );
+                println!("    {:<12} (no candidates in this category)", w.name);
                 continue;
             }
             let (llo, lhi) = wilson_ci95(l.sdc, l.activated());
@@ -42,7 +39,7 @@ fn main() {
             let overlap = llo <= rhi && rlo <= lhi;
             println!(
                 "    {:<12} {:>5.1}% [{:>4.1},{:>5.1}] {:>5.1}% [{:>4.1},{:>5.1}]   {}",
-                p.workload.name,
+                w.name,
                 l.sdc_pct(),
                 llo,
                 lhi,
@@ -60,10 +57,10 @@ fn main() {
     // Summary statistic: fraction of cells whose CIs overlap.
     let mut total = 0;
     let mut agree = 0;
-    for p in &prepared {
+    for (w, _) in &prepared {
         for cat in Category::ALL {
-            let l = &cell(&grid, p.workload.name, "llfi", cat).report.counts;
-            let r = &cell(&grid, p.workload.name, "pinfi", cat).report.counts;
+            let l = &cell(&grid, w.name, "llfi", cat).report.counts;
+            let r = &cell(&grid, w.name, "pinfi", cat).report.counts;
             if l.activated() == 0 || r.activated() == 0 {
                 continue;
             }

@@ -26,9 +26,9 @@ fn main() {
         "Load/LLFI",
         "Load/PIN"
     );
-    for p in &prepared {
-        let l = |c| p.llfi.category_count(&p.compiled.module, c);
-        let r = |c| p.pinfi.category_count(&p.compiled.program, c);
+    for (w, p) in &prepared {
+        let l = |c| p.llfi.category_count(&p.module, c);
+        let r = |c| p.pinfi.category_count(&p.program, c);
         let (la, ra) = (l(Category::All), r(Category::All));
         let pct = |x: u64, tot: u64| {
             if tot == 0 {
@@ -39,7 +39,7 @@ fn main() {
         };
         println!(
             "{:<12} {:>12} {:>12} | {:>6} ({:>2.0}%) {:>6} ({:>2.0}%) | {:>4} ({:>2.0}%) {:>4} ({:>2.0}%) | {:>5} ({:>2.0}%) {:>5} ({:>2.0}%) | {:>6} ({:>2.0}%) {:>6} ({:>2.0}%)",
-            p.workload.name,
+            w.name,
             la,
             ra,
             l(Category::Arithmetic),
@@ -63,9 +63,9 @@ fn main() {
     println!();
     println!("Paper shape checks:");
     let mut all_ok = 0;
-    for p in &prepared {
-        let la = p.llfi.category_count(&p.compiled.module, Category::All);
-        let ra = p.pinfi.category_count(&p.compiled.program, Category::All);
+    for (w, p) in &prepared {
+        let la = p.llfi.category_count(&p.module, Category::All);
+        let ra = p.pinfi.category_count(&p.program, Category::All);
         let ratio = la as f64 / ra as f64;
         let mark = if ratio > 1.0 { "✓" } else { "≈" };
         if ratio > 1.0 {
@@ -73,7 +73,7 @@ fn main() {
         }
         println!(
             "  {:<12} LLFI/PINFI 'all' ratio = {ratio:.2} {mark} (paper: 1.4–2.1)",
-            p.workload.name
+            w.name
         );
     }
     println!("  {all_ok}/6 benchmarks with LLFI > PINFI in 'all' (paper: 6/6)");

@@ -33,9 +33,9 @@ fn main() {
         "LLFI",
         "PINFI"
     );
-    for p in &prepared {
+    for (w, _) in &prepared {
         let pct = |tool: &str, cat: Category| -> String {
-            let c = &cell(&grid, p.workload.name, tool, cat).report.counts;
+            let c = &cell(&grid, w.name, tool, cat).report.counts;
             if c.activated() == 0 {
                 "-".to_string()
             } else {
@@ -44,7 +44,7 @@ fn main() {
         };
         println!(
             "{:<12} | {:>5} {:>5} | {:>5} {:>5} | {:>5} {:>5} | {:>5} {:>5} | {:>5} {:>5}",
-            p.workload.name,
+            w.name,
             pct("llfi", Category::All),
             pct("pinfi", Category::All),
             pct("llfi", Category::Arithmetic),
@@ -64,16 +64,16 @@ fn main() {
     for cat in Category::ALL {
         let mut max_diff = 0.0f64;
         let mut at = "";
-        for p in &prepared {
-            let l = &cell(&grid, p.workload.name, "llfi", cat).report.counts;
-            let r = &cell(&grid, p.workload.name, "pinfi", cat).report.counts;
+        for (w, _) in &prepared {
+            let l = &cell(&grid, w.name, "llfi", cat).report.counts;
+            let r = &cell(&grid, w.name, "pinfi", cat).report.counts;
             if l.activated() == 0 || r.activated() == 0 {
                 continue;
             }
             let d = (l.crash_pct() - r.crash_pct()).abs();
             if d > max_diff {
                 max_diff = d;
-                at = p.workload.name;
+                at = w.name;
             }
         }
         println!("  {cat:<11} {max_diff:>5.1} points (at {at})");

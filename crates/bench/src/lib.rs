@@ -22,11 +22,11 @@ use fiq_asm::MachOptions;
 use fiq_backend::LowerOptions;
 use fiq_core::json::Json;
 use fiq_core::{
-    profile_llfi, profile_pinfi, run_campaign, CampaignConfig, Category, CellReport, CellSpec,
-    EngineOptions, LlfiProfile, PinfiOptions, PinfiProfile, Progress, Substrate,
+    prepare_program, run_campaign, CampaignConfig, Category, CellReport, EngineOptions,
+    PinfiOptions, PreparedProgram, Progress,
 };
 use fiq_interp::InterpOptions;
-use fiq_workloads::{Compiled, Workload, CATALOG};
+use fiq_workloads::{Workload, CATALOG};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -110,18 +110,6 @@ impl ExperimentConfig {
     }
 }
 
-/// A workload compiled and profiled at both levels.
-pub struct Prepared {
-    /// The workload.
-    pub workload: &'static Workload,
-    /// Compiled module + program.
-    pub compiled: Compiled,
-    /// IR-level profile.
-    pub llfi: LlfiProfile,
-    /// Assembly-level profile.
-    pub pinfi: PinfiProfile,
-}
-
 /// Interpreter options used for profiling and injections.
 pub fn interp_opts() -> InterpOptions {
     InterpOptions {
@@ -138,34 +126,30 @@ pub fn mach_opts() -> MachOptions {
     }
 }
 
-/// Compiles and profiles the whole catalog.
+/// Compiles and prepares the whole catalog with
+/// [`prepare_program`], pairing each workload with its program.
 ///
 /// # Panics
 ///
 /// Panics if a workload fails to compile or its golden run fails — both
 /// are bugs, not runtime conditions.
-pub fn prepare_all(lower: LowerOptions) -> Vec<Prepared> {
+pub fn prepare_all(lower: LowerOptions) -> Vec<(&'static Workload, PreparedProgram)> {
     CATALOG
         .iter()
         .map(|w| {
-            let compiled = w
-                .compile_with(lower)
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            let llfi = profile_llfi(&compiled.module, interp_opts())
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            let pinfi = profile_pinfi(&compiled.program, mach_opts())
+            let p = fiq_frontend::compile(w.name, w.source)
+                .map_err(|e| e.to_string())
+                .and_then(|mut module| {
+                    fiq_opt::optimize_module(&mut module);
+                    prepare_program(module, lower, false)
+                })
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
             assert_eq!(
-                llfi.golden_output, pinfi.golden_output,
+                p.llfi.golden_output, p.pinfi.golden_output,
                 "{}: golden outputs must agree",
                 w.name
             );
-            Prepared {
-                workload: w,
-                compiled,
-                llfi,
-                pinfi,
-            }
+            (w, p)
         })
         .collect()
 }
@@ -192,31 +176,16 @@ pub struct GridCell {
 ///
 /// Panics if the engine reports a worker failure — a bug, not a runtime
 /// condition, for the bundled workloads.
-pub fn run_grid(prepared: &[Prepared], cats: &[Category], cfg: &ExperimentConfig) -> Vec<GridCell> {
+pub fn run_grid(
+    prepared: &[(&'static Workload, PreparedProgram)],
+    cats: &[Category],
+    cfg: &ExperimentConfig,
+) -> Vec<GridCell> {
     let camp = cfg.campaign();
-    let mut cells = Vec::new();
-    for p in prepared {
-        for &cat in cats {
-            cells.push(CellSpec {
-                label: p.workload.name.to_string(),
-                category: cat,
-                substrate: Substrate::Llfi {
-                    module: &p.compiled.module,
-                    profile: &p.llfi,
-                },
-                snapshots: None,
-            });
-            cells.push(CellSpec {
-                label: p.workload.name.to_string(),
-                category: cat,
-                substrate: Substrate::Pinfi {
-                    prog: &p.compiled.program,
-                    profile: &p.pinfi,
-                },
-                snapshots: None,
-            });
-        }
-    }
+    let cells: Vec<_> = prepared
+        .iter()
+        .flat_map(|(w, p)| cats.iter().flat_map(|&cat| p.cells(w.name, cat)))
+        .collect();
     let started = Instant::now();
     let last_print = Mutex::new(started);
     let progress = |p: Progress| {
@@ -239,6 +208,8 @@ pub fn run_grid(prepared: &[Prepared], cats: &[Category], cfg: &ExperimentConfig
     };
     let opts = EngineOptions {
         progress: Some(&progress),
+        fast_forward: true,
+        early_exit: true,
         ..EngineOptions::default()
     };
     let run = run_campaign(&cells, &camp, &opts).expect("campaign engine run succeeds");

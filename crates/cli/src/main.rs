@@ -11,8 +11,6 @@
 //! fiq campaign <prog> --category <cat> [--injections N] [--seed S] [--threads N]
 //!              [--records FILE] [--resume] [--progress]
 //!              [--telemetry FILE] [--divergence FILE]
-//!              [--fast-forward] [--snapshot-interval K]
-//!              [--early-exit | --no-early-exit]
 //!              [--no-flag-pruning] [--no-xmm-pruning]
 //!              [--collapse sampled|exact]
 //! fiq collapse-check <prog> [--category <cat>] [--json FILE]
@@ -22,8 +20,7 @@
 //! fiq serve [--addr A] [--data-dir DIR] [--executors N]
 //! fiq submit <prog> [--addr A] [--category <cat>] [--injections N]
 //!            [--seed S] [--threads N] [--shards N] [--priority P]
-//!            [--collapse sampled|exact] [--divergence] [--fast-forward]
-//!            [--name LABEL]
+//!            [--collapse sampled|exact] [--divergence] [--name LABEL]
 //! fiq status [--addr A] [--campaign ID] [--json]
 //! fiq report --follow --campaign ID [--addr A] [--interval MS]
 //! ```
@@ -50,19 +47,19 @@
 //! instruction I) instead of random planning, `--instance`/`--bit`
 //! select the dynamic instance and destination bit, and `--json` emits
 //! the propagation report as one JSON object.
-//! `--fast-forward` captures
-//! checkpoints during the profiling run and restores the one nearest
-//! each injection point instead of replaying the golden prefix (output
-//! is bit-identical either way); `--snapshot-interval K` sets the
-//! checkpoint spacing in dynamic instructions (default: golden ÷ 64,
-//! implies `--fast-forward`). `--early-exit` stops a faulty run at the
-//! first checkpoint whose state it has provably converged to (on by
-//! default whenever checkpoints exist; `--no-early-exit` disables it;
-//! output is bit-identical either way). `--no-flag-pruning`/
-//! `--no-xmm-pruning` disable PINFI's activation heuristics.
-//! `--collapse exact` switches the cell from sampling to exhaustive
-//! coverage: the fault space is partitioned into
-//! equivalence classes up front, one representative per class runs, and
+//!
+//! Checkpointing is not a flag: the campaign captures 64 evenly spaced
+//! golden checkpoints for a level iff its golden run is long enough for
+//! them to pay (`fiq_core::CHECKPOINT_MIN_STEPS`) or `--divergence`
+//! needs them, then restores the one nearest each injection point
+//! instead of replaying the golden prefix, and stops a faulty run at
+//! the first checkpoint whose state it has provably converged to.
+//! Output is bit-identical either way; only wall-clock changes.
+//!
+//! `--no-flag-pruning`/`--no-xmm-pruning` disable PINFI's activation
+//! heuristics. `--collapse exact` switches the cell from sampling to
+//! exhaustive coverage: the fault space is partitioned into equivalence
+//! classes up front, one representative per class runs, and
 //! outcomes are weighted by class size — the resulting distribution is
 //! exact (zero-width CIs in `fiq report`), not an estimate.
 //! `collapse-check` brute-force-validates that guarantee on a small
@@ -96,10 +93,9 @@ use fiq_asm::MachOptions;
 use fiq_backend::LowerOptions;
 use fiq_core::json::Json;
 use fiq_core::{
-    cross_check_llfi, cross_check_pinfi, plan_llfi, plan_pinfi, profile_llfi,
-    profile_llfi_with_snapshots, profile_pinfi, profile_pinfi_with_snapshots, run_llfi, run_pinfi,
-    CampaignConfig, Category, CellSpec, Collapse, CollapseCheck, EngineOptions, PinfiOptions,
-    Progress, SnapshotCache, Substrate,
+    cross_check_llfi, cross_check_pinfi, plan_llfi, plan_pinfi, prepare_program, profile_llfi,
+    profile_pinfi, run_llfi, run_pinfi, CampaignConfig, Category, Collapse, CollapseCheck,
+    EngineOptions, PinfiOptions, Progress,
 };
 use fiq_interp::InterpOptions;
 use fiq_ir::Module;
@@ -107,7 +103,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
@@ -165,7 +161,6 @@ fn flag_spec(cmd: &str) -> Option<FlagSpec> {
                 "records",
                 "telemetry",
                 "divergence",
-                "snapshot-interval",
                 "collapse",
             ],
             boolean: &[
@@ -174,9 +169,6 @@ fn flag_spec(cmd: &str) -> Option<FlagSpec> {
                 "no-callee-saved",
                 "resume",
                 "progress",
-                "fast-forward",
-                "early-exit",
-                "no-early-exit",
                 "no-flag-pruning",
                 "no-xmm-pruning",
             ],
@@ -212,7 +204,7 @@ fn flag_spec(cmd: &str) -> Option<FlagSpec> {
                 "collapse",
                 "name",
             ],
-            boolean: &["divergence", "fast-forward"],
+            boolean: &["divergence"],
         },
         "status" => FlagSpec {
             value: &["addr", "campaign"],
@@ -629,67 +621,10 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         },
         ..CampaignConfig::default()
     };
-    let prog =
-        fiq_backend::lower_module(&module, lower_options(args)).map_err(|e| e.to_string())?;
-    let lp = profile_llfi(&module, InterpOptions::default())?;
-    let pp = profile_pinfi(&prog, MachOptions::default())?;
-
-    // `--snapshot-interval 0` (and the default) means "auto": 64 evenly
-    // spaced checkpoints across the golden run.
-    let interval: u64 = args.num_flag("snapshot-interval", 0)?;
-    if args.has("early-exit") && args.has("no-early-exit") {
-        return Err("--early-exit and --no-early-exit are mutually exclusive".into());
-    }
-    let fast_forward = args.has("fast-forward") || args.flag("snapshot-interval").is_some();
     let divergence = args.flag("divergence").map(PathBuf::from);
-    // Checkpoints serve both optimizations and the divergence observatory;
-    // early exit defaults to on whenever checkpoints exist, and
-    // `--early-exit` or `--divergence` alone captures them.
-    let want_snapshots = fast_forward
-        || divergence.is_some()
-        || (args.has("early-exit") && !args.has("no-early-exit"));
-    let early_exit = want_snapshots && !args.has("no-early-exit");
-    let (llfi_snaps, pinfi_snaps) = if want_snapshots {
-        let l_iv = if interval > 0 {
-            interval
-        } else {
-            (lp.golden_steps / 64).max(1)
-        };
-        let p_iv = if interval > 0 {
-            interval
-        } else {
-            (pp.golden_steps / 64).max(1)
-        };
-        let (_, ls) = profile_llfi_with_snapshots(&module, InterpOptions::default(), l_iv)?;
-        let (_, ps) = profile_pinfi_with_snapshots(&prog, MachOptions::default(), p_iv)?;
-        (
-            Some(Arc::new(SnapshotCache::Llfi(ls))),
-            Some(Arc::new(SnapshotCache::Pinfi(ps))),
-        )
-    } else {
-        (None, None)
-    };
+    let prepared = prepare_program(module, lower_options(args), divergence.is_some())?;
     let label = args.positional.first().cloned().unwrap_or_default();
-    let cells = [
-        CellSpec {
-            label: label.clone(),
-            category: cat,
-            substrate: Substrate::Llfi {
-                module: &module,
-                profile: &lp,
-            },
-            snapshots: llfi_snaps,
-        },
-        CellSpec {
-            label,
-            category: cat,
-            substrate: Substrate::Pinfi {
-                prog: &prog,
-                profile: &pp,
-            },
-            snapshots: pinfi_snaps,
-        },
-    ];
+    let cells = prepared.cells(&label, cat);
 
     let collapse = match args.flag("collapse") {
         None => Collapse::default(),
@@ -724,8 +659,8 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         telemetry: telemetry.as_deref(),
         divergence: divergence.as_deref(),
         resume: args.has("resume"),
-        fast_forward,
-        early_exit,
+        fast_forward: true,
+        early_exit: true,
         progress: if args.has("progress") {
             Some(&progress_cb)
         } else {
@@ -1031,8 +966,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 /// `fiq submit <prog> [--addr A] [--category C] [--injections N]
 /// [--seed S] [--threads N] [--shards N] [--priority P]
-/// [--collapse sampled|exact] [--divergence] [--fast-forward]
-/// [--name LABEL]` — submit a campaign to a running daemon.
+/// [--collapse sampled|exact] [--divergence] [--name LABEL]` — submit a campaign to a running daemon.
 fn cmd_submit(args: &Args) -> Result<(), String> {
     let Some(prog) = args.positional.first() else {
         return Err("missing program (file path or workload name)".into());
@@ -1062,7 +996,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
                 .ok_or_else(|| format!("unknown --collapse `{s}` (sampled|exact)"))?,
         },
         divergence: args.has("divergence"),
-        fast_forward: args.has("fast-forward"),
+        fast_forward: true,
     };
     let resp = fiq_serve::client::submit(&addr(args), &sub)?;
     let g = |k: &str| resp.get(k).and_then(Json::as_u64).unwrap_or(0);

@@ -131,7 +131,7 @@ fn rejects_unknown_flags_with_usage() {
     assert!(!ok, "unknown flags must fail");
     assert!(err.contains("unknown flag --frobnicate"), "{err}");
     assert!(
-        err.contains("--injections <value>") && err.contains("--fast-forward"),
+        err.contains("--injections <value>") && err.contains("--divergence <value>"),
         "error must list the valid flags: {err}"
     );
     // A flag valid for one subcommand is still unknown to another.
@@ -161,6 +161,39 @@ fn removed_core_flags_are_unknown() {
             .expect("usage lists valid flags");
         for gone in ["--dispatch", "--no-fusion", "--no-quiescent"] {
             assert!(!valid.contains(gone), "usage still lists {gone}: {err}");
+        }
+    }
+}
+
+/// Checkpointing is decided from the golden run, not by flags: the old
+/// fast-forward, snapshot-interval and early-exit flags are unknown to
+/// `campaign` (and `--fast-forward` to `submit`), and the usage text
+/// lists none of them.
+#[test]
+fn removed_checkpoint_flags_are_unknown() {
+    let gone = [
+        "--fast-forward",
+        "--snapshot-interval",
+        "--early-exit",
+        "--no-early-exit",
+    ];
+    let cases: [&[&str]; 5] = [
+        &["campaign", "mcf", "--fast-forward"],
+        &["campaign", "mcf", "--snapshot-interval", "100"],
+        &["campaign", "mcf", "--early-exit"],
+        &["campaign", "mcf", "--no-early-exit"],
+        &["submit", "mcf", "--fast-forward"],
+    ];
+    for args in cases {
+        let (ok, out, err) = fiq(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(out.is_empty(), "{args:?} must not run: {out}");
+        assert!(err.contains(&format!("unknown flag {}", args[2])), "{err}");
+        let (_, valid) = err
+            .split_once("valid flags:")
+            .expect("usage lists valid flags");
+        for flag in gone {
+            assert!(!valid.contains(flag), "usage still lists {flag}: {err}");
         }
     }
 }
@@ -244,32 +277,6 @@ fn accepts_equals_style_flag_values() {
 }
 
 #[test]
-fn fast_forward_campaign_matches_full_replay() {
-    let base = [
-        "campaign",
-        "libquantum",
-        "--category",
-        "cmp",
-        "--injections",
-        "8",
-        "--seed",
-        "3",
-    ];
-    let (ok, full, err) = fiq(&base);
-    assert!(ok, "{err}");
-    let mut ff: Vec<&str> = base.to_vec();
-    ff.push("--fast-forward");
-    let (ok, fast, err) = fiq(&ff);
-    assert!(ok, "{err}");
-    assert_eq!(full, fast, "fast-forward must not change campaign output");
-    let mut fixed: Vec<&str> = base.to_vec();
-    fixed.extend(["--snapshot-interval", "1000"]);
-    let (ok, fixed_out, err) = fiq(&fixed);
-    assert!(ok, "{err}");
-    assert_eq!(full, fixed_out, "explicit interval implies fast-forward");
-}
-
-#[test]
 fn telemetry_campaign_and_report_round_trip() {
     let dir = std::env::temp_dir().join(format!("fiq-cli-report-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -284,7 +291,6 @@ fn telemetry_campaign_and_report_round_trip() {
         "8",
         "--seed",
         "3",
-        "--fast-forward",
         "--progress",
         "--records",
         rec.to_str().unwrap(),

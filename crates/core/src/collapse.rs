@@ -32,10 +32,11 @@
 //! verify precisely that, and the `collapse-check` CI job keeps it true.
 
 use crate::category::{injection_dest, llfi_candidates, Category};
-use crate::llfi::{run_llfi_detailed, LlfiInjection};
+use crate::llfi::{run_llfi_observed, LlfiInjection};
 use crate::outcome::OutcomeCounts;
-use crate::pinfi::{run_pinfi_detailed, PinfiInjection, PinfiOptions};
+use crate::pinfi::{run_pinfi_observed, PinfiInjection, PinfiOptions};
 use crate::profile::{LlfiProfile, PinfiProfile};
+use crate::telemetry::TaskTel;
 use fiq_asm::{
     AluOp, AsmHook, AsmProgram, Inst as AInst, MachOptions, MachState, Machine, MemRef, Operand,
     Reg, RegId, ShiftOp, XOperand, Xmm, ALL_FLAGS,
@@ -1309,25 +1310,36 @@ pub fn cross_check_llfi(
 ) -> Result<CollapseCheck, String> {
     let analysis = analyze_llfi(module, profile)?;
     let (plan, stats) = collapse_llfi(module, profile, cat, &analysis);
+    let opts = InterpOptions {
+        max_steps,
+        ..InterpOptions::default()
+    };
+    let run = |inj| {
+        let g = &profile.golden_output;
+        run_llfi_observed(
+            module,
+            opts,
+            inj,
+            g,
+            None,
+            None,
+            true,
+            None,
+            None,
+            TaskTel::off(),
+        )
+    };
     let mut collapsed = OutcomeCounts::default();
     let mut collapsed_steps = 0u64;
     for &(inj, class_size) in &plan {
-        let opts = InterpOptions {
-            max_steps,
-            ..InterpOptions::default()
-        };
-        let r = run_llfi_detailed(module, opts, inj, &profile.golden_output)?;
+        let r = run(inj)?;
         collapsed.record_n(r.outcome, class_size);
         collapsed_steps += r.steps * class_size;
     }
     let mut brute = OutcomeCounts::default();
     let mut brute_steps = 0u64;
     for inj in enumerate_llfi(module, profile, cat) {
-        let opts = InterpOptions {
-            max_steps,
-            ..InterpOptions::default()
-        };
-        let r = run_llfi_detailed(module, opts, inj, &profile.golden_output)?;
+        let r = run(inj)?;
         brute.record(r.outcome);
         brute_steps += r.steps;
     }
@@ -1356,25 +1368,36 @@ pub fn cross_check_pinfi(
 ) -> Result<CollapseCheck, String> {
     let analysis = analyze_pinfi(prog, profile)?;
     let (plan, stats) = collapse_pinfi(prog, profile, cat, popts, &analysis);
+    let opts = MachOptions {
+        max_steps,
+        ..MachOptions::default()
+    };
+    let run = |inj| {
+        let g = &profile.golden_output;
+        run_pinfi_observed(
+            prog,
+            opts,
+            inj,
+            g,
+            None,
+            None,
+            true,
+            None,
+            None,
+            TaskTel::off(),
+        )
+    };
     let mut collapsed = OutcomeCounts::default();
     let mut collapsed_steps = 0u64;
     for &(inj, class_size) in &plan {
-        let opts = MachOptions {
-            max_steps,
-            ..MachOptions::default()
-        };
-        let r = run_pinfi_detailed(prog, opts, inj, &profile.golden_output)?;
+        let r = run(inj)?;
         collapsed.record_n(r.outcome, class_size);
         collapsed_steps += r.steps * class_size;
     }
     let mut brute = OutcomeCounts::default();
     let mut brute_steps = 0u64;
     for inj in enumerate_pinfi(prog, profile, cat, popts) {
-        let opts = MachOptions {
-            max_steps,
-            ..MachOptions::default()
-        };
-        let r = run_pinfi_detailed(prog, opts, inj, &profile.golden_output)?;
+        let r = run(inj)?;
         brute.record(r.outcome);
         brute_steps += r.steps;
     }

@@ -49,6 +49,7 @@ pub mod json;
 mod llfi;
 mod outcome;
 mod pinfi;
+mod prepare;
 mod profile;
 pub mod report;
 mod stats;
@@ -74,15 +75,12 @@ pub use engine::{
     EngineOptions, Progress, ShardSpec, SnapshotCache, Substrate, CANCELLED, EXACT_RECORD_VERSION,
     RECORD_VERSION,
 };
-pub use llfi::{
-    plan_llfi, plan_llfi_from, run_llfi, run_llfi_detailed, run_llfi_detailed_from,
-    run_llfi_observed, LlfiInjection,
-};
+pub use llfi::{plan_llfi, plan_llfi_from, run_llfi, run_llfi_observed, LlfiInjection};
 pub use outcome::{classify, DetailedOutcome, InjectionRun, Outcome, OutcomeCounts};
 pub use pinfi::{
-    plan_pinfi, plan_pinfi_from, run_pinfi, run_pinfi_detailed, run_pinfi_detailed_from,
-    run_pinfi_observed, PinfiInjection, PinfiOptions,
+    plan_pinfi, plan_pinfi_from, run_pinfi, run_pinfi_observed, PinfiInjection, PinfiOptions,
 };
+pub use prepare::{prepare_program, PreparedProgram, CHECKPOINTS, CHECKPOINT_MIN_STEPS};
 pub use profile::{
     locate, profile_llfi, profile_llfi_with_snapshots, profile_pinfi, profile_pinfi_with_snapshots,
     GoldenRef, LlfiProfile, PinfiProfile,

@@ -139,7 +139,8 @@ impl LlfiHook {
     }
 }
 
-/// Runs one LLFI injection and classifies the outcome.
+/// Runs one LLFI injection from the start of the program and
+/// classifies the outcome; [`run_llfi_observed`] is the full form.
 ///
 /// # Errors
 ///
@@ -150,26 +151,28 @@ pub fn run_llfi(
     inj: LlfiInjection,
     golden_output: &str,
 ) -> Result<Outcome, String> {
-    run_llfi_detailed(module, opts, inj, golden_output).map(|d| d.outcome)
+    run_llfi_observed(
+        module,
+        opts,
+        inj,
+        golden_output,
+        None,
+        None,
+        true,
+        None,
+        None,
+        TaskTel::off(),
+    )
+    .map(|d| d.outcome)
 }
 
-/// [`run_llfi`] plus the dynamic-instruction count of the faulty run,
-/// for per-injection records.
-///
-/// # Errors
-///
-/// Returns an error string if interpreter setup fails.
-pub fn run_llfi_detailed(
-    module: &Module,
-    opts: InterpOptions,
-    inj: LlfiInjection,
-    golden_output: &str,
-) -> Result<crate::outcome::InjectionRun, String> {
-    run_llfi_detailed_from(module, opts, inj, golden_output, None, None)
-}
-
-/// [`run_llfi_detailed`], optionally fast-forwarded and/or
-/// convergence-checked.
+/// One LLFI injection with every campaign option, returning the
+/// outcome plus the faulty run's dynamic step count for per-injection
+/// records. `tel` receives the step-attribution split (skipped /
+/// executed / reconstructed), snapshot restore cost, convergence-compare
+/// counts, and the fault's activation verdict. `decoded` lets the
+/// campaign engine decode the module once per cell and share the table
+/// across every injection run (`None` decodes inline).
 ///
 /// When `snapshot` is given, the interpreter restores it and replays only
 /// the tail instead of re-executing the golden prefix. The snapshot must
@@ -189,47 +192,12 @@ pub fn run_llfi_detailed(
 /// run would have produced. Output is bit-identical with or without
 /// `golden`; only wall-clock changes.
 ///
-/// # Errors
-///
-/// Returns an error string if interpreter setup fails.
-pub fn run_llfi_detailed_from(
-    module: &Module,
-    opts: InterpOptions,
-    inj: LlfiInjection,
-    golden_output: &str,
-    snapshot: Option<&InterpSnapshot>,
-    golden: Option<GoldenRef<'_, InterpSnapshot>>,
-) -> Result<crate::outcome::InjectionRun, String> {
-    run_llfi_observed(
-        module,
-        opts,
-        inj,
-        golden_output,
-        snapshot,
-        golden,
-        true,
-        None,
-        None,
-        TaskTel::off(),
-    )
-}
-
-/// [`run_llfi_detailed_from`] with campaign telemetry, an optional shared
-/// pre-decoded module, and an optional divergence [`Timeline`]: records
-/// the step-attribution split (skipped / executed / reconstructed),
-/// snapshot restore cost, convergence-compare counts, and the fault's
-/// activation verdict into `tel`. `decoded` lets the campaign engine
-/// decode the module once per cell and share the table across every
-/// injection run (`None` decodes inline).
-///
 /// `early_exit` controls whether golden checkpoints are used for
 /// convergence truncation; `timeline` (which requires `golden`)
 /// additionally records a per-checkpoint divergence observation at every
 /// post-injection pause. Observation is passive — the returned
 /// [`InjectionRun`](crate::outcome::InjectionRun) and every `tel` counter
-/// are byte-identical with `timeline` present or absent. Passing `true`,
-/// `None`, `None`, [`TaskTel::off`] makes this identical to
-/// [`run_llfi_detailed_from`].
+/// are byte-identical with `timeline` present or absent.
 ///
 /// # Errors
 ///

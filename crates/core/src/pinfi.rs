@@ -232,7 +232,8 @@ impl AsmHook for PinfiHook<'_> {
     }
 }
 
-/// Runs one PINFI injection and classifies the outcome.
+/// Runs one PINFI injection from the start of the program and
+/// classifies the outcome; [`run_pinfi_observed`] is the full form.
 ///
 /// # Errors
 ///
@@ -243,26 +244,28 @@ pub fn run_pinfi(
     inj: PinfiInjection,
     golden_output: &str,
 ) -> Result<Outcome, String> {
-    run_pinfi_detailed(prog, opts, inj, golden_output).map(|d| d.outcome)
+    run_pinfi_observed(
+        prog,
+        opts,
+        inj,
+        golden_output,
+        None,
+        None,
+        true,
+        None,
+        None,
+        TaskTel::off(),
+    )
+    .map(|d| d.outcome)
 }
 
-/// [`run_pinfi`] plus the retired-instruction count of the faulty run,
-/// for per-injection records.
-///
-/// # Errors
-///
-/// Returns an error string if machine setup fails.
-pub fn run_pinfi_detailed(
-    prog: &AsmProgram,
-    opts: MachOptions,
-    inj: PinfiInjection,
-    golden_output: &str,
-) -> Result<crate::outcome::InjectionRun, String> {
-    run_pinfi_detailed_from(prog, opts, inj, golden_output, None, None)
-}
-
-/// [`run_pinfi_detailed`], optionally fast-forwarded and/or
-/// convergence-checked.
+/// One PINFI injection with every campaign option, returning the
+/// outcome plus the faulty run's dynamic step count for per-injection
+/// records. `tel` receives the step-attribution split (skipped /
+/// executed / reconstructed), snapshot restore cost, convergence-compare
+/// counts, and the fault's activation verdict. `decoded` lets the
+/// campaign engine decode the program once per cell and share the table
+/// across every injection run (`None` decodes inline).
 ///
 /// When `snapshot` is given, the machine restores it and replays only the
 /// tail instead of re-executing the golden prefix. The snapshot must have
@@ -282,47 +285,12 @@ pub fn run_pinfi_detailed(
 /// would have produced. Output is bit-identical with or without `golden`;
 /// only wall-clock changes.
 ///
-/// # Errors
-///
-/// Returns an error string if machine setup fails.
-pub fn run_pinfi_detailed_from(
-    prog: &AsmProgram,
-    opts: MachOptions,
-    inj: PinfiInjection,
-    golden_output: &str,
-    snapshot: Option<&MachSnapshot>,
-    golden: Option<GoldenRef<'_, MachSnapshot>>,
-) -> Result<crate::outcome::InjectionRun, String> {
-    run_pinfi_observed(
-        prog,
-        opts,
-        inj,
-        golden_output,
-        snapshot,
-        golden,
-        true,
-        None,
-        None,
-        TaskTel::off(),
-    )
-}
-
-/// [`run_pinfi_detailed_from`] with campaign telemetry, an optional
-/// shared pre-decoded program, and an optional divergence [`Timeline`]:
-/// records the step-attribution split (skipped / executed /
-/// reconstructed), snapshot restore cost, convergence-compare counts, and
-/// the fault's activation verdict into `tel`. `decoded` lets the campaign
-/// engine decode the program once per cell and share the table across
-/// every injection run (`None` decodes inline).
-///
 /// `early_exit` controls whether golden checkpoints are used for
 /// convergence truncation; `timeline` (which requires `golden`)
 /// additionally records a per-checkpoint divergence observation at every
 /// post-injection pause. Observation is passive — the returned
 /// [`InjectionRun`](crate::outcome::InjectionRun) and every `tel` counter
-/// are byte-identical with `timeline` present or absent. Passing `true`,
-/// `None`, `None`, [`TaskTel::off`] makes this identical to
-/// [`run_pinfi_detailed_from`].
+/// are byte-identical with `timeline` present or absent.
 ///
 /// # Errors
 ///

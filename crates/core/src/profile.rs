@@ -253,8 +253,8 @@ impl PinfiProfile {
 /// detection: the profiling checkpoints (with their state digests) and
 /// the golden step count.
 ///
-/// Passed to `run_llfi_detailed_from` / `run_pinfi_detailed_from` to
-/// enable early exit: whenever the faulty run's step counter crosses a
+/// Passed to [`run_llfi_observed`](crate::run_llfi_observed) /
+/// [`run_pinfi_observed`](crate::run_pinfi_observed) to enable early exit: whenever the faulty run's step counter crosses a
 /// checkpoint's step count with the fault settled, its state is compared
 /// against the checkpoint, and an exact match proves the remaining
 /// execution identical to golden — so the run can stop right there with

@@ -3,22 +3,25 @@
 //! A [`Submission`] is the wire form of "run this campaign": inline
 //! Mini-C source (or a bundled workload name the client resolved), the
 //! injection category, and the budget/mode knobs. [`prepare`] turns it
-//! into a [`Prepared`] — *owned* compile/profile/snapshot artifacts the
-//! daemon keeps alive for the campaign's whole lifetime, handing
-//! borrowed [`CellSpec`] views to each shard run. Preparation happens
+//! into a [`Prepared`] — the *owned* [`PreparedProgram`] (compiled,
+//! profiled, checkpointed by [`prepare_program`]) the daemon keeps alive
+//! for the campaign's whole lifetime, handing borrowed [`CellSpec`]
+//! views to each shard run. Preparation happens
 //! once per campaign, not once per shard: the plan drawn from these
 //! artifacts is what makes every shard's records byte-compatible.
 
-use fiq_asm::{AsmProgram, MachOptions};
 use fiq_core::json::Json;
-use fiq_core::{
-    profile_llfi, profile_llfi_with_snapshots, profile_pinfi, profile_pinfi_with_snapshots,
-    CampaignConfig, Category, CellSpec, Collapse, LlfiProfile, PinfiProfile, SnapshotCache,
-    Substrate,
-};
-use fiq_interp::InterpOptions;
-use fiq_ir::Module;
-use std::sync::Arc;
+use fiq_core::{prepare_program, CampaignConfig, Category, CellSpec, Collapse, PreparedProgram};
+
+/// Most worker threads one shard run may ask for. The engine spawns
+/// `min(threads, tasks)` OS threads per running shard, so the bound
+/// keeps a single submission from exhausting the daemon's threads.
+pub const MAX_THREADS: usize = 64;
+
+/// Most shards one campaign may be split into. Each shard costs a spec,
+/// a queue entry and three spool files, so the bound keeps a single
+/// submission from exhausting the daemon's memory and file handles.
+pub const MAX_SHARDS: usize = 256;
 
 /// A campaign submission as it travels over the API.
 #[derive(Debug, Clone)]
@@ -44,8 +47,9 @@ pub struct Submission {
     pub collapse: Collapse,
     /// Capture per-injection divergence timelines.
     pub divergence: bool,
-    /// Restore profiling checkpoints instead of replaying golden
-    /// prefixes (output-invariant; wall-clock only).
+    /// Accepted on the wire for compatibility and ignored: [`prepare`]
+    /// decides checkpointing from the golden run's length (and
+    /// `divergence`), because checkpoints never change a record.
     pub fast_forward: bool,
 }
 
@@ -126,14 +130,21 @@ impl Submission {
         };
         let injections = u32::try_from(u("injections", 200))
             .map_err(|_| "injections exceeds u32".to_string())?;
+        let bounded = |key: &str, default: u64, max: usize| {
+            let n = u(key, default);
+            match usize::try_from(n) {
+                Ok(n) if n <= max => Ok(n),
+                _ => Err(format!("`{key}` is {n}, above the daemon's bound of {max}")),
+            }
+        };
         Ok(Submission {
             name,
             source,
             category,
             injections,
             seed: u("seed", 42),
-            threads: u("threads", 1) as usize,
-            shards: (u("shards", 1) as usize).max(1),
+            threads: bounded("threads", 1, MAX_THREADS)?,
+            shards: bounded("shards", 1, MAX_SHARDS)?.max(1),
             priority: u("priority", 0),
             collapse,
             divergence: v.get("divergence") == Some(&Json::Bool(true)),
@@ -155,21 +166,17 @@ pub struct Prepared {
     pub collapse: Collapse,
     /// Whether shard runs stream divergence timelines.
     pub divergence: bool,
-    /// Fast-forward through profiling checkpoints.
+    /// Whether the cells carry golden checkpoints to fast-forward from
+    /// (derived by [`prepare_program`], never chosen).
     pub fast_forward: bool,
-    /// Early-exit at converged checkpoints (on whenever snapshots
-    /// exist, mirroring the CLI default).
+    /// Whether the cells carry golden checkpoints to early-exit at;
+    /// always equal to [`Prepared::fast_forward`].
     pub early_exit: bool,
     /// Shard count the campaign is split into.
     pub shards: usize,
     /// Queue priority carried over from the submission.
     pub priority: u64,
-    module: Module,
-    prog: AsmProgram,
-    llfi_profile: LlfiProfile,
-    pinfi_profile: PinfiProfile,
-    llfi_snaps: Option<Arc<SnapshotCache>>,
-    pinfi_snaps: Option<Arc<SnapshotCache>>,
+    program: PreparedProgram,
 }
 
 impl Prepared {
@@ -178,55 +185,18 @@ impl Prepared {
     /// and for every shard run — it is, because it is derived from the
     /// same owned state every time.
     pub fn cells(&self) -> Vec<CellSpec<'_>> {
-        vec![
-            CellSpec {
-                label: self.name.clone(),
-                category: self.category,
-                substrate: Substrate::Llfi {
-                    module: &self.module,
-                    profile: &self.llfi_profile,
-                },
-                snapshots: self.llfi_snaps.clone(),
-            },
-            CellSpec {
-                label: self.name.clone(),
-                category: self.category,
-                substrate: Substrate::Pinfi {
-                    prog: &self.prog,
-                    profile: &self.pinfi_profile,
-                },
-                snapshots: self.pinfi_snaps.clone(),
-            },
-        ]
+        self.program.cells(&self.name, self.category).into()
     }
 }
 
-/// Compiles, lowers, profiles, and (when divergence or fast-forward ask
-/// for checkpoints) snapshots a submission — the once-per-campaign
-/// expensive half, mirroring what `fiq campaign` does before calling
-/// the engine.
+/// Compiles and prepares a submission — the once-per-campaign expensive
+/// half, the same [`prepare_program`] step `fiq campaign` runs before
+/// calling the engine. `sub.fast_forward` is ignored.
 pub fn prepare(sub: &Submission) -> Result<Prepared, String> {
     let mut module = fiq_frontend::compile(&sub.name, &sub.source).map_err(|e| e.to_string())?;
     fiq_opt::optimize_module(&mut module);
-    let prog = fiq_backend::lower_module(&module, fiq_backend::LowerOptions::default())
-        .map_err(|e| e.to_string())?;
-    let llfi_profile = profile_llfi(&module, InterpOptions::default())?;
-    let pinfi_profile = profile_pinfi(&prog, MachOptions::default())?;
-    let want_snapshots = sub.fast_forward || sub.divergence;
-    let (llfi_snaps, pinfi_snaps) = if want_snapshots {
-        // Auto interval: 64 evenly spaced checkpoints across the golden
-        // run, the same default as `fiq campaign`.
-        let l_iv = (llfi_profile.golden_steps / 64).max(1);
-        let p_iv = (pinfi_profile.golden_steps / 64).max(1);
-        let (_, ls) = profile_llfi_with_snapshots(&module, InterpOptions::default(), l_iv)?;
-        let (_, ps) = profile_pinfi_with_snapshots(&prog, MachOptions::default(), p_iv)?;
-        (
-            Some(Arc::new(SnapshotCache::Llfi(ls))),
-            Some(Arc::new(SnapshotCache::Pinfi(ps))),
-        )
-    } else {
-        (None, None)
-    };
+    let program = prepare_program(module, fiq_backend::LowerOptions::default(), sub.divergence)?;
+    let checkpointed = program.checkpointed();
     Ok(Prepared {
         name: sub.name.clone(),
         category: sub.category,
@@ -238,15 +208,55 @@ pub fn prepare(sub: &Submission) -> Result<Prepared, String> {
         },
         collapse: sub.collapse,
         divergence: sub.divergence,
-        fast_forward: sub.fast_forward,
-        early_exit: want_snapshots,
+        fast_forward: checkpointed,
+        early_exit: checkpointed,
         shards: sub.shards,
         priority: sub.priority,
-        module,
-        prog,
-        llfi_profile,
-        pinfi_profile,
-        llfi_snaps,
-        pinfi_snaps,
+        program,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(extra: &str) -> Result<Submission, String> {
+        let body = format!(r#"{{"name":"mcf"{extra}}}"#);
+        Submission::from_json(&Json::parse(&body).unwrap())
+    }
+
+    #[test]
+    fn accepts_threads_and_shards_up_to_their_bounds() {
+        let sub = parse(&format!(
+            r#","threads":{MAX_THREADS},"shards":{MAX_SHARDS}"#
+        ))
+        .unwrap();
+        assert_eq!((sub.threads, sub.shards), (MAX_THREADS, MAX_SHARDS));
+        let sub = parse(r#","threads":4,"shards":7"#).unwrap();
+        assert_eq!((sub.threads, sub.shards), (4, 7));
+        let sub = parse("").unwrap();
+        assert_eq!((sub.threads, sub.shards), (1, 1));
+    }
+
+    #[test]
+    fn rejects_threads_above_the_bound() {
+        let err = parse(&format!(r#","threads":{}"#, MAX_THREADS + 1)).unwrap_err();
+        assert!(
+            err.contains("`threads`") && err.contains(&MAX_THREADS.to_string()),
+            "{err}"
+        );
+        let err = parse(r#","threads":18446744073709551615"#).unwrap_err();
+        assert!(err.contains("`threads`"), "{err}");
+    }
+
+    #[test]
+    fn rejects_shards_above_the_bound() {
+        let err = parse(&format!(r#","shards":{}"#, MAX_SHARDS + 1)).unwrap_err();
+        assert!(
+            err.contains("`shards`") && err.contains(&MAX_SHARDS.to_string()),
+            "{err}"
+        );
+        let err = parse(r#","shards":18446744073709551615"#).unwrap_err();
+        assert!(err.contains("`shards`"), "{err}");
+    }
 }

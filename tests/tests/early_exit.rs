@@ -12,9 +12,9 @@ use fiq_asm::{MachOptions, RegId};
 use fiq_backend::LowerOptions;
 use fiq_core::{
     injection_dest, profile_llfi, profile_llfi_with_snapshots, profile_pinfi,
-    profile_pinfi_with_snapshots, run_campaign, run_llfi_detailed_from, run_pinfi_detailed_from,
+    profile_pinfi_with_snapshots, run_campaign, run_llfi_observed, run_pinfi_observed,
     CampaignConfig, Category, CellSpec, EngineOptions, GoldenRef, LlfiInjection, Outcome,
-    PinfiInjection, SnapshotCache, Substrate,
+    PinfiInjection, SnapshotCache, Substrate, TaskTel,
 };
 use fiq_interp::InterpOptions;
 use std::path::PathBuf;
@@ -76,8 +76,32 @@ fn check_llfi(
     golden_output: &str,
     golden: GoldenRef<'_, fiq_interp::InterpSnapshot>,
 ) -> (Outcome, bool) {
-    let base = run_llfi_detailed_from(m, opts, inj, golden_output, None, None).unwrap();
-    let fast = run_llfi_detailed_from(m, opts, inj, golden_output, None, Some(golden)).unwrap();
+    let base = run_llfi_observed(
+        m,
+        opts,
+        inj,
+        golden_output,
+        None,
+        None,
+        true,
+        None,
+        None,
+        TaskTel::off(),
+    )
+    .unwrap();
+    let fast = run_llfi_observed(
+        m,
+        opts,
+        inj,
+        golden_output,
+        None,
+        Some(golden),
+        true,
+        None,
+        None,
+        TaskTel::off(),
+    )
+    .unwrap();
     assert_eq!(fast.outcome, base.outcome, "{inj:?}: outcome must match");
     assert_eq!(fast.steps, base.steps, "{inj:?}: steps must match");
     assert!(!base.early_exit, "no golden ref ⇒ no early exit");
@@ -175,8 +199,30 @@ fn llfi_sweep_is_equivalent_under_tight_budgets() {
                 instance: 1,
                 bit: 3,
             };
-            let base = run_llfi_detailed_from(&m, opts, inj, &lp.golden_output, None, None);
-            let fast = run_llfi_detailed_from(&m, opts, inj, &lp.golden_output, None, Some(golden));
+            let base = run_llfi_observed(
+                &m,
+                opts,
+                inj,
+                &lp.golden_output,
+                None,
+                None,
+                true,
+                None,
+                None,
+                TaskTel::off(),
+            );
+            let fast = run_llfi_observed(
+                &m,
+                opts,
+                inj,
+                &lp.golden_output,
+                None,
+                Some(golden),
+                true,
+                None,
+                None,
+                TaskTel::off(),
+            );
             match (base, fast) {
                 (Ok(b), Ok(f)) => {
                     assert_eq!(f.outcome, b.outcome, "{inj:?} at budget {max_steps}");
@@ -218,16 +264,30 @@ fn pinfi_sweep_is_equivalent_and_sound() {
                         dest,
                         bit,
                     };
-                    let base =
-                        run_pinfi_detailed_from(&p, opts, inj, &pp.golden_output, None, None)
-                            .unwrap();
-                    let fast = run_pinfi_detailed_from(
+                    let base = run_pinfi_observed(
+                        &p,
+                        opts,
+                        inj,
+                        &pp.golden_output,
+                        None,
+                        None,
+                        true,
+                        None,
+                        None,
+                        TaskTel::off(),
+                    )
+                    .unwrap();
+                    let fast = run_pinfi_observed(
                         &p,
                         opts,
                         inj,
                         &pp.golden_output,
                         None,
                         Some(golden),
+                        true,
+                        None,
+                        None,
+                        TaskTel::off(),
                     )
                     .unwrap();
                     assert_eq!(fast.outcome, base.outcome, "{inj:?}");
